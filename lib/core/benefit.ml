@@ -112,11 +112,16 @@ type t = {
    metrics registry when enabled.  The [evaluations]/[cache_hits] fields
    below stay authoritative (and always on) — these counters only exist so a
    [--metrics] snapshot can report them without an evaluator handle. *)
-let m_cache_hits = lazy (Xia_obs.Metrics.counter "benefit.cache_hits")
-let m_cache_misses = lazy (Xia_obs.Metrics.counter "benefit.cache_misses")
-let m_shard_waits = lazy (Xia_obs.Metrics.counter "benefit.shard_waits")
-let m_evaluations = lazy (Xia_obs.Metrics.counter "benefit.evaluations")
-let m_pruned = lazy (Xia_obs.Metrics.counter "benefit.pruned_configs")
+let m_cache_hits =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "benefit.cache_hits")
+let m_cache_misses =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "benefit.cache_misses")
+let m_shard_waits =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "benefit.shard_waits")
+let m_evaluations =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "benefit.evaluations")
+let m_pruned =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "benefit.pruned_configs")
 
 (* Process-wide running total of sub-configuration cache hits, for the bench
    harness's perf trajectory (per-evaluator counters die with the evaluator). *)
@@ -196,18 +201,18 @@ let create ?domains catalog (workload : Workload.t) =
 
 let count_evaluations t n =
   ignore (Atomic.fetch_and_add t.evaluations n);
-  if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Lazy.force m_evaluations) n
+  if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metrics.force m_evaluations) n
 
 let count_pruned t n =
   if n > 0 then begin
     ignore (Atomic.fetch_and_add t.pruned n);
-    if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Lazy.force m_pruned) n
+    if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metrics.force m_pruned) n
   end
 
 let count_hit t =
   Atomic.incr t.cache_hits;
   Atomic.incr global_hits;
-  if Xia_obs.Obs.on () then Xia_obs.Metrics.incr (Lazy.force m_cache_hits)
+  if Xia_obs.Obs.on () then Xia_obs.Metrics.incr (Xia_obs.Metrics.force m_cache_hits)
 
 let base_workload_cost t =
   let total = ref 0.0 in
@@ -330,14 +335,14 @@ let config_costs t ~defs key stmts =
         if Hashtbl.mem shard.pending key then begin
           (* Another domain is computing this key: shard contention. *)
           if Xia_obs.Obs.on () then
-            Xia_obs.Metrics.incr (Lazy.force m_shard_waits);
+            Xia_obs.Metrics.incr (Xia_obs.Metrics.force m_shard_waits);
           Condition.wait shard.cond shard.lock;
           acquire ()
         end
         else begin
           Hashtbl.replace shard.pending key ();
           if Xia_obs.Obs.on () then
-            Xia_obs.Metrics.incr (Lazy.force m_cache_misses);
+            Xia_obs.Metrics.incr (Xia_obs.Metrics.force m_cache_misses);
           `Compute
             (match existing with
             | Some (Ok entry) -> Some entry

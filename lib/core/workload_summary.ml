@@ -21,10 +21,17 @@
    (exact duplicates), compressed and raw recommendations coincide; otherwise
    the regret is bounded by the within-cluster cost spread.
 
-   Signatures are sorted arrays of interned triple ids — PR 3's interner
-   makes them integer comparisons, and [Optimizer.enumerate_indexes] is a
-   pure statement analysis (it never invokes the cost model), so
-   fingerprinting 10k statements costs milliseconds, not optimizer calls.
+   Signatures are sorted arrays of interned triple ids, and
+   [Optimizer.enumerate_indexes] is a pure statement analysis: it never
+   invokes the cost model.  It still rewrites every statement, so
+   [compress] runs it once per *shape* rather than once per statement.  A
+   shape is the statement with every literal's value erased (its kind kept:
+   String vs Number decides the index type), and with the parts the key
+   never reads dropped: return items, the source column, an Update's new
+   value, an Insert's document.  The cluster key is a function of the shape
+   (see [Shape]), so a memo from shape to cluster is exact: the partition is
+   the one per-statement keys give, and a log of a few hundred templates
+   with fresh constants costs a few hundred rewrites.
 
    DML statements additionally key on their kind and target tables: the
    maintenance charge depends on both, so an Insert and a Delete — or two
@@ -39,15 +46,19 @@ module Workload = Xia_workload.Workload
 module Optimizer = Xia_optimizer.Optimizer
 module Interner = Xia_xpath.Interner
 module Ast = Xia_query.Ast
+module Xp = Xia_xpath.Ast
 
 (* Triple interner: (table label id, pattern id, dtype tag) -> dense id.
    Toplevel is fine: the interner is internally domain-safe (atomic snapshot
    publication), and ids are only ever used for identity. *)
 let atoms : (int * int * int) Interner.t = Interner.create ()
 
-let m_statements = lazy (Xia_obs.Metrics.counter "summary.statements")
-let m_clusters = lazy (Xia_obs.Metrics.counter "summary.clusters")
-let g_ratio = lazy (Xia_obs.Metrics.gauge "summary.compression_ratio")
+let m_statements =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "summary.statements")
+let m_clusters =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.counter "summary.clusters")
+let g_ratio =
+  Xia_obs.Metrics.once (fun () -> Xia_obs.Metrics.gauge "summary.compression_ratio")
 
 let dtype_tag = function
   | Xia_index.Index_def.Dstring -> 0
@@ -115,37 +126,131 @@ let raw (workload : Workload.t) =
   in
   { source = workload; clusters; compressed = false }
 
+(* Statement shapes for the [compress] memo.  [cluster_key] reads a
+   statement only through its kind, [Ast.tables] and [enumerate_indexes],
+   and those read binding vars, source tables and paths (nested predicates
+   included), where-group vars, comparison operators, literal kinds and DML
+   selectors.  Equal shapes agree on all of it, so they get equal keys.
+   Update targets are kept as well: a finer shape costs a memo miss, never
+   a wrong cluster. *)
+module Shape = Hashtbl.Make (struct
+  type t = Ast.statement
+
+  let lit_kind = function Xp.String_lit _ -> 0 | Xp.Number_lit _ -> 1
+  let mix h x = (h * 65599) + x
+
+  (* A fold over the whole shape: [Hashtbl.hash] stops after 10 meaningful
+     words, which would collide templates sharing a leading binding. *)
+  let rec hash_path h p = List.fold_left hash_step h p
+
+  and hash_step h (s : Xp.step) =
+    List.fold_left hash_pred
+      (mix (mix h (Hashtbl.hash s.axis)) (Hashtbl.hash s.test))
+      s.predicates
+
+  and hash_pred h = function
+    | Xp.Exists rel -> hash_path (mix h 1) rel
+    | Xp.Compare (rel, cmp, lit) ->
+        mix (mix (hash_path (mix h 2) rel) (Hashtbl.hash cmp)) (lit_kind lit)
+
+  let hash_binding h (v, (src : Ast.source)) =
+    hash_path (mix (mix h (Hashtbl.hash v)) (Hashtbl.hash src.table)) src.path
+
+  let hash_clause h (w : Ast.where_clause) =
+    hash_pred (mix h (Hashtbl.hash w.var)) w.predicate
+
+  let hash = function
+    | Ast.Select f ->
+        List.fold_left (List.fold_left hash_clause)
+          (List.fold_left hash_binding 0 f.bindings)
+          f.where
+    | Ast.Insert { table; _ } -> mix 1 (Hashtbl.hash table)
+    | Ast.Delete { table; selector } ->
+        hash_path (mix 2 (Hashtbl.hash table)) selector
+    | Ast.Update { table; selector; target; _ } ->
+        hash_path (hash_path (mix 3 (Hashtbl.hash table)) selector) target
+
+  let rec equal_path p q = List.equal equal_step p q
+
+  and equal_step (a : Xp.step) (b : Xp.step) =
+    Xp.equal_axis a.axis b.axis
+    && Xp.equal_node_test a.test b.test
+    && List.equal equal_pred a.predicates b.predicates
+
+  and equal_pred a b =
+    match a, b with
+    | Xp.Exists p, Xp.Exists q -> equal_path p q
+    | Xp.Compare (p, c, l), Xp.Compare (q, c', l') ->
+        c = c' && lit_kind l = lit_kind l' && equal_path p q
+    | (Xp.Exists _ | Xp.Compare _), _ -> false
+
+  let equal_binding (v, (s : Ast.source)) (w, (t : Ast.source)) =
+    String.equal v w && String.equal s.table t.table && equal_path s.path t.path
+
+  let equal_clause (a : Ast.where_clause) (b : Ast.where_clause) =
+    String.equal a.var b.var && equal_pred a.predicate b.predicate
+
+  let equal a b =
+    match a, b with
+    | Ast.Select f, Ast.Select g ->
+        List.equal equal_binding f.bindings g.bindings
+        && List.equal (List.equal equal_clause) f.where g.where
+    | Ast.Insert a, Ast.Insert b -> String.equal a.table b.table
+    | Ast.Delete a, Ast.Delete b ->
+        String.equal a.table b.table && equal_path a.selector b.selector
+    | Ast.Update a, Ast.Update b ->
+        String.equal a.table b.table
+        && equal_path a.selector b.selector
+        && equal_path a.target b.target
+    | (Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Update _), _ -> false
+end)
+
+(* A cluster under construction; [sum] starts at -0.0, the exact additive
+   identity, so weights are the members' frequencies summed in order. *)
+type slot = { first : int; mutable rev_members : int list; mutable sum : float }
+
 let compress catalog (workload : Workload.t) =
   Xia_obs.Trace.with_span "summary.compress"
     ~args:(fun () -> [ ("statements", string_of_int (List.length workload)) ])
   @@ fun () ->
-  let by_key = Hashtbl.create 64 in
-  let order = ref [] in  (* cluster reps in reverse first-occurrence order *)
+  let by_key = Hashtbl.create 64 and by_shape = Shape.create 64 in
+  let order = ref [] in  (* slots in reverse first-occurrence order *)
+  let slot_of i stmt =
+    let key = cluster_key catalog stmt in
+    match Hashtbl.find_opt by_key key with
+    | Some slot -> slot
+    | None ->
+        let slot = { first = i; rev_members = []; sum = -0.0 } in
+        Hashtbl.replace by_key key slot;
+        order := slot :: !order;
+        slot
+  in
   List.iteri
     (fun i (item : Workload.item) ->
-      let key = cluster_key catalog item.statement in
-      match Hashtbl.find_opt by_key key with
-      | Some (members, weight) ->
-          Hashtbl.replace by_key key (i :: members, weight +. item.freq)
-      | None ->
-          order := (key, i) :: !order;
-          Hashtbl.replace by_key key ([ i ], item.freq))
+      let slot =
+        match Shape.find_opt by_shape item.statement with
+        | Some slot -> slot
+        | None ->
+            let slot = slot_of i item.statement in
+            Shape.replace by_shape item.statement slot;
+            slot
+      in
+      slot.rev_members <- i :: slot.rev_members;
+      slot.sum <- slot.sum +. item.freq)
     workload;
   let clusters =
     Array.of_list
       (List.rev_map
-         (fun (key, rep) ->
-           let members, weight = Hashtbl.find by_key key in
-           { rep; members = List.rev members; weight })
+         (fun s -> { rep = s.first; members = List.rev s.rev_members; weight = s.sum })
          !order)
   in
   let t = { source = workload; clusters; compressed = true } in
   if Xia_obs.Obs.on () then begin
-    Xia_obs.Metrics.add (Lazy.force m_statements) (List.length workload);
-    Xia_obs.Metrics.add (Lazy.force m_clusters) (Array.length clusters);
+    Xia_obs.Metrics.add (Xia_obs.Metrics.force m_statements) (List.length workload);
+    Xia_obs.Metrics.add (Xia_obs.Metrics.force m_clusters) (Array.length clusters);
     let n = List.length workload in
     if Array.length clusters > 0 then
-      Xia_obs.Metrics.set (Lazy.force g_ratio)
+      Xia_obs.Metrics.set (Xia_obs.Metrics.force g_ratio)
         (float_of_int n /. float_of_int (Array.length clusters))
   end;
   t

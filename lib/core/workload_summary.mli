@@ -26,8 +26,10 @@ type info = {
     frequency.  The raw and compressed paths share all downstream code. *)
 val raw : Workload.t -> t
 
-(** Cluster by signature.  Costs one [enumerate_indexes] pass (pure
-    statement analysis — no optimizer cost-model calls) over the workload. *)
+(** Cluster by signature.  Costs one [enumerate_indexes] call (pure
+    statement analysis — no optimizer cost-model calls) per distinct
+    statement shape: the statement with literal values erased, their kinds
+    kept.  The partition is exactly the one per-statement signatures give. *)
 val compress : Xia_index.Catalog.t -> Workload.t -> t
 
 (** Basic-candidate signature of one statement: sorted interned triple ids.

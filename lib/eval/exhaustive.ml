@@ -155,5 +155,12 @@ let search ?(limit = default_limit) ?ids ?weight ?capacity ev set ~budget =
     benefits;
   }
 
+(* Benefits within a millionth of the optimum are ties: that is the
+   resolution regret (benefit / optimum) is reported at, so last-bit float
+   differences between summation orders cannot move a rank. *)
 let rank r benefit =
-  1 + Array.fold_left (fun acc b -> if b > benefit then acc + 1 else acc) 0 r.benefits
+  let tol = 1e-6 *. Float.abs r.benefit in
+  1
+  + Array.fold_left
+      (fun acc b -> if b -. benefit > tol then acc + 1 else acc)
+      0 r.benefits

@@ -69,6 +69,8 @@ val search :
   result
 
 (** [rank r benefit] is 1 + the number of feasible subsets whose benefit
-    strictly exceeds [benefit]: rank 1 means optimal.  Counts over
-    [r.benefits], so equal-benefit configurations share a rank. *)
+    exceeds [benefit] by more than a millionth of the optimum (the
+    resolution regret is reported at): rank 1 means optimal.  Counts over
+    [r.benefits], so equal-benefit configurations share a rank, and so do
+    benefits that differ only in the last bits. *)
 val rank : result -> float -> int

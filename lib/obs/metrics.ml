@@ -92,6 +92,21 @@ let histogram ?bounds_us name =
   | I_histogram h -> h
   | other -> kind_clash name Histogram (kind_of other)
 
+(* A toplevel [lazy] is not domain-safe: two domains forcing it at once
+   raise [CamlinternalLazy.Undefined].  Racing [force]s here may both run
+   [make]; registration is once per name, so both get the same instrument. *)
+type 'a once = { make : unit -> 'a; cell : 'a option Atomic.t }
+
+let once make = { make; cell = Atomic.make None }
+
+let force h =
+  match Atomic.get h.cell with
+  | Some m -> m
+  | None ->
+      let m = h.make () in
+      Atomic.set h.cell (Some m);
+      m
+
 let incr c = Atomic.incr c
 let add c n = ignore (Atomic.fetch_and_add c n)
 let value c = Atomic.get c

@@ -17,6 +17,15 @@ val counter : string -> counter
 val gauge : string -> gauge
 
 val histogram : ?bounds_us:float array -> string -> histogram
+
+(** An instrument registered on first use, for module-level handles.  Unlike
+    a toplevel [lazy], [force] is safe from several domains at once: racing
+    callers may both run the constructor, and as registration is once per
+    name they get the same instrument. *)
+type 'a once
+
+val once : (unit -> 'a) -> 'a once
+val force : 'a once -> 'a
 (** [histogram name] registers a latency histogram.  [bounds_us] are the
     strictly-increasing bucket upper bounds in microseconds (default spans
     1us – 1s); an implicit overflow bucket is appended.  [bounds_us] is

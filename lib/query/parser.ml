@@ -27,20 +27,26 @@ type state = {
 
 let fail st message = raise (Fail { position = st.pos; message })
 
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
+(* The next character, or '\000' past the end; no character test below
+   accepts '\000', so the end of input and a NUL byte take the same branch.
+   A char, not an option: scanning allocates nothing per character. *)
+let peek st = if st.pos < String.length st.input then st.input.[st.pos] else '\000'
 
 let advance st = st.pos <- st.pos + 1
 
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
 let skip_space st =
-  while (match peek st with Some c when is_space c -> true | _ -> false) do
+  while is_space (peek st) do
     advance st
   done
 
+(* [s] occurs in [input] at [pos + i ..], compared in place. *)
+let rec matches_at input pos s i =
+  i = String.length s || (input.[pos + i] = s.[i] && matches_at input pos s (i + 1))
+
 let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.input && String.sub st.input st.pos n = s
+  st.pos + String.length s <= String.length st.input && matches_at st.input st.pos s 0
 
 let is_word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
@@ -65,7 +71,7 @@ let expect_keyword st kw =
 let parse_word st =
   skip_space st;
   let start = st.pos in
-  while (match peek st with Some c when is_word_char c -> true | _ -> false) do
+  while is_word_char (peek st) do
     advance st
   done;
   if st.pos = start then fail st "expected an identifier";
@@ -73,9 +79,7 @@ let parse_word st =
 
 let parse_var st =
   skip_space st;
-  (match peek st with
-  | Some '$' -> advance st
-  | _ -> fail st "expected a variable ($name)");
+  if peek st = '$' then advance st else fail st "expected a variable ($name)";
   parse_word st
 
 let embed_xpath st result =
@@ -96,31 +100,30 @@ let parse_relative_path st =
 let parse_quoted st =
   skip_space st;
   match peek st with
-  | Some (('"' | '\'') as q) ->
+  | ('"' | '\'') as q ->
       advance st;
       let start = st.pos in
-      while (match peek st with Some c when c <> q -> true | _ -> false) do
+      (* Bounds-checked: a NUL byte inside the string is part of it. *)
+      while st.pos < String.length st.input && st.input.[st.pos] <> q do
         advance st
       done;
-      (match peek st with
-      | Some c when c = q ->
-          let s = String.sub st.input start (st.pos - start) in
-          advance st;
-          s
-      | _ -> fail st "unterminated string literal")
+      if peek st = q then begin
+        let s = String.sub st.input start (st.pos - start) in
+        advance st;
+        s
+      end
+      else fail st "unterminated string literal"
   | _ -> fail st "expected a quoted string"
 
 let parse_source st =
   let table = parse_word st in
   skip_space st;
   let column =
-    if peek st = Some '(' then begin
+    if peek st = '(' then begin
       advance st;
       let c = parse_quoted st in
       skip_space st;
-      (match peek st with
-      | Some ')' -> advance st
-      | _ -> fail st "expected ')'");
+      if peek st = ')' then advance st else fail st "expected ')'";
       c
     end
     else "XMLDOC"
@@ -131,31 +134,29 @@ let parse_source st =
 let parse_cmp st =
   skip_space st;
   match peek st with
-  | Some '=' -> advance st; Some Xia_xpath.Ast.Eq
-  | Some '!' ->
+  | '=' -> advance st; Some Xia_xpath.Ast.Eq
+  | '!' ->
       advance st;
-      if peek st = Some '=' then (advance st; Some Xia_xpath.Ast.Ne)
+      if peek st = '=' then (advance st; Some Xia_xpath.Ast.Ne)
       else fail st "expected '!='"
-  | Some '<' ->
+  | '<' ->
       advance st;
-      if peek st = Some '=' then (advance st; Some Xia_xpath.Ast.Le)
+      if peek st = '=' then (advance st; Some Xia_xpath.Ast.Le)
       else Some Xia_xpath.Ast.Lt
-  | Some '>' ->
+  | '>' ->
       advance st;
-      if peek st = Some '=' then (advance st; Some Xia_xpath.Ast.Ge)
+      if peek st = '=' then (advance st; Some Xia_xpath.Ast.Ge)
       else Some Xia_xpath.Ast.Gt
   | _ -> None
 
 let parse_literal st =
   skip_space st;
   match peek st with
-  | Some ('"' | '\'') -> Xia_xpath.Ast.String_lit (parse_quoted st)
-  | Some ('0' .. '9' | '-') ->
+  | '"' | '\'' -> Xia_xpath.Ast.String_lit (parse_quoted st)
+  | '0' .. '9' | '-' ->
       let start = st.pos in
-      if peek st = Some '-' then advance st;
-      while
-        (match peek st with Some ('0' .. '9' | '.') -> true | _ -> false)
-      do
+      if peek st = '-' then advance st;
+      while (match peek st with '0' .. '9' | '.' -> true | _ -> false) do
         advance st
       done;
       (match float_of_string_opt (String.sub st.input start (st.pos - start)) with
@@ -166,7 +167,7 @@ let parse_literal st =
 let parse_where_clause st =
   let var = parse_var st in
   skip_space st;
-  let rel = if peek st = Some '/' then (advance st; parse_relative_path st) else [] in
+  let rel = if peek st = '/' then (advance st; parse_relative_path st) else [] in
   match parse_cmp st with
   | None ->
       if rel = [] then fail st "a bare $var cannot be a where clause";
@@ -178,30 +179,24 @@ let parse_where_clause st =
 let rec parse_return_item st =
   skip_space st;
   match peek st with
-  | Some '$' ->
+  | '$' ->
       let var = parse_var st in
-      if peek st = Some '/' then begin
+      if peek st = '/' then begin
         advance st;
         let rel = parse_relative_path st in
         Ast.Ret_path (var, rel)
       end
       else Ast.Ret_var var
-  | Some '<' ->
+  | '<' ->
       advance st;
       let tag = parse_word st in
       skip_space st;
-      (match peek st with
-      | Some '>' -> advance st
-      | _ -> fail st "expected '>'");
+      if peek st = '>' then advance st else fail st "expected '>'";
       skip_space st;
-      (match peek st with
-      | Some '{' -> advance st
-      | _ -> fail st "expected '{'");
+      if peek st = '{' then advance st else fail st "expected '{'";
       let items = parse_return_items st in
       skip_space st;
-      (match peek st with
-      | Some '}' -> advance st
-      | _ -> fail st "expected '}'");
+      if peek st = '}' then advance st else fail st "expected '}'";
       skip_space st;
       if not (looking_at st ("</" ^ tag ^ ">")) then
         fail st (Printf.sprintf "expected closing </%s>" tag);
@@ -213,7 +208,7 @@ and parse_return_items st =
   let first = parse_return_item st in
   let rec more acc =
     skip_space st;
-    if peek st = Some ',' then begin
+    if peek st = ',' then begin
       advance st;
       more (parse_return_item st :: acc)
     end
@@ -227,7 +222,7 @@ let parse_flwor st =
     expect_keyword st "in";
     let src = parse_source st in
     skip_space st;
-    if peek st = Some ',' then begin
+    if peek st = ',' then begin
       advance st;
       skip_space st;
       parse_bindings ((var, src) :: acc)
@@ -261,7 +256,7 @@ let parse_flwor st =
 let finish st result =
   skip_space st;
   (* Allow a trailing semicolon. *)
-  if peek st = Some ';' then advance st;
+  if peek st = ';' then advance st;
   skip_space st;
   if st.pos <> String.length st.input then
     Error { position = st.pos; message = "trailing characters" }
@@ -301,9 +296,7 @@ let parse_statement_state st =
     expect_keyword st "set";
     let target = parse_absolute_path st in
     skip_space st;
-    (match peek st with
-    | Some '=' -> advance st
-    | _ -> fail st "expected '='");
+    if peek st = '=' then advance st else fail st "expected '='";
     let new_value = parse_quoted st in
     expect_keyword st "where";
     let selector = parse_absolute_path st in

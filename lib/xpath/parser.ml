@@ -24,17 +24,19 @@ type state = {
 
 let fail st message = raise (Fail { position = st.pos; message })
 
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.input then Some st.input.[st.pos + 1] else None
+(* The next character, or '\000' past the end; no character test below
+   accepts '\000', so the end of input and a NUL byte take the same branch.
+   A char, not an option: scanning allocates nothing per character. *)
+let peek_at st i = if i < String.length st.input then st.input.[i] else '\000'
+let peek st = peek_at st st.pos
+let peek2 st = peek_at st (st.pos + 1)
 
 let advance st = st.pos <- st.pos + 1
 
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
 let skip_space st =
-  while (match peek st with Some c when is_space c -> true | _ -> false) do
+  while is_space (peek st) do
     advance st
   done
 
@@ -42,15 +44,15 @@ let is_name_start = function
   | 'a' .. 'z' | 'A' .. 'Z' | '_' -> true
   | _ -> false
 
+let is_digit = function '0' .. '9' -> true | _ -> false
+
 let is_name_char c =
   is_name_start c || (match c with '0' .. '9' | '-' | '.' | ':' -> true | _ -> false)
 
 let parse_name st =
   let start = st.pos in
-  (match peek st with
-  | Some c when is_name_start c -> advance st
-  | _ -> fail st "expected a name");
-  while (match peek st with Some c when is_name_char c -> true | _ -> false) do
+  if is_name_start (peek st) then advance st else fail st "expected a name";
+  while is_name_char (peek st) do
     advance st
   done;
   String.sub st.input start (st.pos - start)
@@ -58,32 +60,31 @@ let parse_name st =
 let parse_axis_leading st =
   (* At the start of an absolute path or between steps. *)
   match peek st with
-  | Some '/' ->
+  | '/' ->
       advance st;
-      if peek st = Some '/' then (advance st; Ast.Descendant) else Ast.Child
+      if peek st = '/' then (advance st; Ast.Descendant) else Ast.Child
   | _ -> fail st "expected '/' or '//'"
 
 let parse_name_test st =
   match peek st with
-  | Some '*' -> advance st; Ast.Elem Ast.Wildcard
-  | Some '@' ->
+  | '*' -> advance st; Ast.Elem Ast.Wildcard
+  | '@' ->
       advance st;
       (match peek st with
-      | Some '*' -> advance st; Ast.Attr Ast.Wildcard
+      | '*' -> advance st; Ast.Attr Ast.Wildcard
       | _ -> Ast.Attr (Ast.Name (parse_name st)))
   | _ -> Ast.Elem (Ast.Name (parse_name st))
 
 let parse_number st =
   let start = st.pos in
-  (match peek st with Some '-' -> advance st | _ -> ());
+  if peek st = '-' then advance st;
   let digits = ref 0 in
-  while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
+  while is_digit (peek st) do
     incr digits; advance st
   done;
-  if peek st = Some '.' && (match peek2 st with Some ('0' .. '9') -> true | _ -> false)
-  then begin
+  if peek st = '.' && is_digit (peek2 st) then begin
     advance st;
-    while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
+    while is_digit (peek st) do
       incr digits; advance st
     done
   end;
@@ -92,33 +93,34 @@ let parse_number st =
 
 let parse_literal st =
   match peek st with
-  | Some (('"' | '\'') as q) ->
+  | ('"' | '\'') as q ->
       advance st;
       let start = st.pos in
-      while (match peek st with Some c when c <> q -> true | _ -> false) do
+      (* Bounds-checked: a NUL byte inside the literal is part of it. *)
+      while st.pos < String.length st.input && st.input.[st.pos] <> q do
         advance st
       done;
-      (match peek st with
-      | Some c when c = q ->
-          let s = String.sub st.input start (st.pos - start) in
-          advance st;
-          Ast.String_lit s
-      | _ -> fail st "unterminated string literal")
-  | Some ('0' .. '9' | '-') -> Ast.Number_lit (parse_number st)
+      if peek st = q then begin
+        let s = String.sub st.input start (st.pos - start) in
+        advance st;
+        Ast.String_lit s
+      end
+      else fail st "unterminated string literal"
+  | '0' .. '9' | '-' -> Ast.Number_lit (parse_number st)
   | _ -> fail st "expected a literal"
 
 let parse_cmp st =
   match peek st with
-  | Some '=' -> advance st; Ast.Eq
-  | Some '!' ->
+  | '=' -> advance st; Ast.Eq
+  | '!' ->
       advance st;
-      if peek st = Some '=' then (advance st; Ast.Ne) else fail st "expected '!='"
-  | Some '<' ->
+      if peek st = '=' then (advance st; Ast.Ne) else fail st "expected '!='"
+  | '<' ->
       advance st;
-      if peek st = Some '=' then (advance st; Ast.Le) else Ast.Lt
-  | Some '>' ->
+      if peek st = '=' then (advance st; Ast.Le) else Ast.Lt
+  | '>' ->
       advance st;
-      if peek st = Some '=' then (advance st; Ast.Ge) else Ast.Gt
+      if peek st = '=' then (advance st; Ast.Ge) else Ast.Gt
   | _ -> fail st "expected a comparison operator"
 
 let rec parse_step st =
@@ -127,17 +129,17 @@ let rec parse_step st =
   (test, predicates)
 
 and parse_predicates st acc =
-  if peek st = Some '[' then begin
+  if peek st = '[' then begin
     advance st;
     skip_space st;
     let rel =
-      if peek st = Some '.' then (advance st; [])
+      if peek st = '.' then (advance st; [])
       else parse_relative st
     in
     skip_space st;
     let pred =
       match peek st with
-      | Some ']' -> Ast.Exists rel
+      | ']' -> Ast.Exists rel
       | _ ->
           let cmp = parse_cmp st in
           skip_space st;
@@ -145,9 +147,7 @@ and parse_predicates st acc =
           Ast.Compare (rel, cmp, lit)
     in
     skip_space st;
-    (match peek st with
-    | Some ']' -> advance st
-    | _ -> fail st "expected ']'");
+    if peek st = ']' then advance st else fail st "expected ']'";
     parse_predicates st (pred :: acc)
   end
   else List.rev acc
@@ -155,7 +155,7 @@ and parse_predicates st acc =
 and parse_relative st =
   (* First step has an implicit Child axis (or Descendant for a leading //). *)
   let first_axis =
-    if peek st = Some '/' then parse_axis_leading st else Ast.Child
+    if peek st = '/' then parse_axis_leading st else Ast.Child
   in
   let test, predicates = parse_step st in
   let first = { Ast.axis = first_axis; test; predicates } in
@@ -163,7 +163,7 @@ and parse_relative st =
 
 and parse_rest st acc =
   match peek st with
-  | Some '/' ->
+  | '/' ->
       let axis = parse_axis_leading st in
       let test, predicates = parse_step st in
       parse_rest st ({ Ast.axis; test; predicates } :: acc)

@@ -912,7 +912,9 @@ let rec render = function
 
 type outcome = Normal | Exc
 
-(* Every (held, outcome) end state reachable by some path. *)
+(* Every (held, outcome) end state reachable by some path, as a set: there
+   are at most 4, and deduplicating after every compound keeps a run of
+   [If]s from doubling the list at each step. *)
 let rec eval s held =
   match s with
   | Nop -> [ (held, Normal) ]
@@ -920,22 +922,27 @@ let rec eval s held =
   | Unlock -> [ (false, Normal) ]
   | Raise -> [ (held, Exc) ]
   | Seq (a, b) ->
-      List.concat_map
-        (fun (h, o) -> match o with Normal -> eval b h | Exc -> [ (h, Exc) ])
-        (eval a held)
-  | If (a, b) -> eval a held @ eval b held
+      states
+        (List.concat_map
+           (fun (h, o) -> match o with Normal -> eval b h | Exc -> [ (h, Exc) ])
+           (eval a held))
+  | If (a, b) -> states (eval a held @ eval b held)
   | Try (a, b) ->
-      List.concat_map
-        (fun (h, o) -> match o with Normal -> [ (h, Normal) ] | Exc -> eval b h)
-        (eval a held)
+      states
+        (List.concat_map
+           (fun (h, o) -> match o with Normal -> [ (h, Normal) ] | Exc -> eval b h)
+           (eval a held))
   | Protect (a, f) ->
-      List.concat_map
-        (fun (h, o) ->
-          List.map
-            (fun (hf, fo) ->
-              (hf, match (o, fo) with Normal, Normal -> Normal | _ -> Exc))
-            (eval f h))
-        (eval a held)
+      states
+        (List.concat_map
+           (fun (h, o) ->
+             List.map
+               (fun (hf, fo) ->
+                 (hf, match (o, fo) with Normal, Normal -> Normal | _ -> Exc))
+               (eval f h))
+           (eval a held))
+
+and states l = List.sort_uniq compare l
 
 let shape_gen =
   QCheck.Gen.(

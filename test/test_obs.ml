@@ -266,6 +266,22 @@ let metrics_tests =
         Metrics.incr c;
         Metrics.add (Metrics.counter "test_obs.counter") 4;
         Alcotest.(check int) "value" (base + 5) (Metrics.value c));
+    tc "once: forcing from several domains at once yields one instrument"
+      (fun () ->
+        (* Domains walk the same fresh handles in step, so first forces
+           collide; a toplevel [lazy] here raises CamlinternalLazy.Undefined. *)
+        let name i = Printf.sprintf "test_obs.once.%d" i in
+        let handles = Array.init 200 (fun i -> Metrics.once (fun () -> Metrics.counter (name i))) in
+        let walk () = Array.iter (fun h -> Metrics.incr (Metrics.force h)) handles in
+        let spawned = List.init 3 (fun _ -> Domain.spawn walk) in
+        walk ();
+        List.iter Domain.join spawned;
+        Array.iteri
+          (fun i h ->
+            Alcotest.(check bool) (name i ^ " shared") true
+              (Metrics.force h == Metrics.counter (name i));
+            Alcotest.(check int) (name i ^ " value") 4 (Metrics.value (Metrics.force h)))
+          handles);
     tc "kind clash raises Invalid_argument" (fun () ->
         ignore (Metrics.counter "test_obs.clash");
         match Metrics.gauge "test_obs.clash" with

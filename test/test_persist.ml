@@ -9,10 +9,18 @@ module D = Xia_index.Index_def
 
 let tc name f = Alcotest.test_case name `Quick f
 
-let tmp_dir prefix =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) (prefix ^ string_of_int (Random.int 1_000_000)) in
-  Sys.mkdir dir 0o755;
-  dir
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A fresh directory (created atomically, never reused) for the duration of
+   [f], removed with its contents when [f] returns or raises. *)
+let with_tmp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let write_file dir name content =
   let oc = open_out (Filename.concat dir name) in
@@ -25,7 +33,7 @@ let persist_tests =
         let store = DS.create "T" in
         ignore (DS.insert store (Helpers.xml "<a><b>1</b></a>"));
         ignore (DS.insert store (Helpers.xml {|<a id="7">x</a>|}));
-        let dir = tmp_dir "xia_save" in
+        with_tmp_dir "xia_save" @@ fun dir ->
         P.save_directory store dir;
         let store2 = DS.create "T2" in
         let report = P.load_directory store2 dir in
@@ -34,7 +42,7 @@ let persist_tests =
         Alcotest.(check int) "count" 2 (DS.doc_count store2);
         Alcotest.(check int) "elements" (DS.total_elements store) (DS.total_elements store2));
     tc "load skips non-xml files and reports bad xml" (fun () ->
-        let dir = tmp_dir "xia_load" in
+        with_tmp_dir "xia_load" @@ fun dir ->
         write_file dir "good.xml" "<a/>";
         write_file dir "bad.xml" "<a><b></a>";
         write_file dir "notes.txt" "not xml";
@@ -52,13 +60,12 @@ let persist_tests =
     tc "save creates nested directories" (fun () ->
         let store = DS.create "T" in
         ignore (DS.insert store (Helpers.xml "<a/>"));
-        let dir =
-          Filename.concat (tmp_dir "xia_nest") (Filename.concat "deep" "er")
-        in
+        with_tmp_dir "xia_nest" @@ fun root ->
+        let dir = Filename.concat root (Filename.concat "deep" "er") in
         P.save_directory store dir;
         Alcotest.(check bool) "exists" true (Sys.is_directory dir));
     tc "ids reproducible via filename order" (fun () ->
-        let dir = tmp_dir "xia_order" in
+        with_tmp_dir "xia_order" @@ fun dir ->
         write_file dir "b.xml" "<b/>";
         write_file dir "a.xml" "<a/>";
         let store = DS.create "T" in
@@ -73,7 +80,7 @@ let persist_tests =
 let workload_file_tests =
   [
     tc "workload_lines parses frequencies and comments" (fun () ->
-        let dir = tmp_dir "xia_wl" in
+        with_tmp_dir "xia_wl" @@ fun dir ->
         write_file dir "wl.txt"
           "# comment\n\nfor $x in T/a return $x\n5.5|delete from T where /a\n";
         let lines = P.workload_lines (Filename.concat dir "wl.txt") in
@@ -85,7 +92,7 @@ let workload_file_tests =
             Alcotest.(check string) "text" "delete from T where /a" s2
         | _ -> Alcotest.fail "unexpected"));
     tc "Workload.of_file accepts both languages" (fun () ->
-        let dir = tmp_dir "xia_wl2" in
+        with_tmp_dir "xia_wl2" @@ fun dir ->
         write_file dir "wl.txt"
           ("for $x in T/a where $x/k = \"v\" return $x\n"
          ^ "2.0|SELECT * FROM T WHERE XMLEXISTS('/a[k=\"v\"]')\n");
@@ -98,7 +105,7 @@ let workload_file_tests =
               (Xia_xpath.Pattern.to_string p2)
         | _ -> Alcotest.fail "expected one pattern each");
     tc "of_file reports parse errors with line numbers" (fun () ->
-        let dir = tmp_dir "xia_wl3" in
+        with_tmp_dir "xia_wl3" @@ fun dir ->
         write_file dir "wl.txt" "for $x in T/a return $x\nnot a statement\n";
         Alcotest.(check bool) "raises" true
           (try

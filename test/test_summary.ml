@@ -169,6 +169,138 @@ let qcheck_clustering =
       let p = partition wl in
       p = partition wl && p = partition shuffled)
 
+(* ---------- the shape memo ----------------------------------------------- *)
+
+module Ast = Xia_query.Ast
+module Xp = Xia_xpath.Ast
+
+(* The partition per-statement keys give, without the memo: group by kind,
+   sorted tables and signature, clusters in first-occurrence order. *)
+let reference_partition catalog (wl : W.t) =
+  let kind = function
+    | Ast.Select _ -> 0 | Ast.Insert _ -> 1 | Ast.Delete _ -> 2 | Ast.Update _ -> 3
+  in
+  let groups =
+    List.fold_left
+      (fun groups (i, (it : W.item)) ->
+        let s = it.W.statement in
+        let key = (kind s, Ast.tables s, WS.signature catalog s) in
+        match List.assoc_opt key groups with
+        | Some members -> (key, i :: members) :: List.remove_assoc key groups
+        | None -> (key, [ i ]) :: groups)
+      []
+      (List.mapi (fun i it -> (i, it)) wl)
+  in
+  List.map (fun (_, members) -> List.rev members) groups
+  |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+
+(* Statement [i]'s own constants: every literal (binding paths, where
+   clauses, DML selectors) gets a fresh value; one in 8 also changes kind.
+   Updates get a fresh new value and inserts a fresh document. *)
+let freshen rng i stmt =
+  let lit = function
+    | Xp.String_lit _ when Random.State.int rng 8 = 0 -> Xp.Number_lit (float_of_int i)
+    | Xp.Number_lit _ when Random.State.int rng 8 = 0 -> Xp.String_lit (string_of_int i)
+    | Xp.String_lit s -> Xp.String_lit (Printf.sprintf "%s-%d" s i)
+    | Xp.Number_lit x -> Xp.Number_lit (x +. float_of_int (i + 1))
+  in
+  let rec path p =
+    List.map (fun (st : Xp.step) -> { st with predicates = List.map pred st.predicates }) p
+  and pred = function
+    | Xp.Exists rel -> Xp.Exists (path rel)
+    | Xp.Compare (rel, c, l) -> Xp.Compare (path rel, c, lit l)
+  in
+  match stmt with
+  | Ast.Select f ->
+      Ast.Select
+        {
+          f with
+          bindings =
+            List.map
+              (fun (v, (src : Ast.source)) -> (v, { src with path = path src.path }))
+              f.bindings;
+          where =
+            List.map
+              (List.map (fun (w : Ast.where_clause) -> { w with predicate = pred w.predicate }))
+              f.where;
+        }
+  | Ast.Insert { table; _ } ->
+      let document = Helpers.xml (Printf.sprintf "<Doc n=\"%d\"><v>%d</v></Doc>" i i) in
+      Ast.Insert { table; document }
+  | Ast.Delete { table; selector } -> Ast.Delete { table; selector = path selector }
+  | Ast.Update u ->
+      Ast.Update { u with selector = path u.selector; new_value = string_of_int i }
+
+let qcheck_memo_partition =
+  QCheck.Test.make ~count:20
+    ~name:"memoized compress = per-statement reference partition"
+    QCheck.(make Gen.(int_range 1 1000))
+    (fun seed ->
+      let catalog = Lazy.force Helpers.shared_catalog in
+      let templates =
+        Array.of_list
+          (Xia_workload.Tpox.workload_with_updates ()
+          @ Synthetic.workload ~seed catalog (Cat.table_names catalog) 12)
+      in
+      let k = Array.length templates in
+      let rng = Random.State.make [| seed |] in
+      let wl =
+        List.init 300 (fun i ->
+            (* Zipf-like: low ranks dominate. *)
+            let (t : W.item) = templates.(Random.State.int rng (1 + Random.State.int rng k)) in
+            W.item (Printf.sprintf "S%d" i) (freshen rng i t.W.statement))
+      in
+      WS.members (WS.compress catalog wl) = reference_partition catalog wl)
+
+(* Members of [compress] over statements given as text. *)
+let clusters_of texts =
+  let catalog = Lazy.force Helpers.shared_catalog in
+  WS.members (WS.compress catalog (W.of_strings texts))
+
+let memo_cases =
+  let sec where_ = "for $s in SECURITY('SDOC')/Security where " ^ where_ ^ " return $s" in
+  [
+    tc "shapes differing only in literal values share a cluster" (fun () ->
+        Alcotest.(check (list (list int))) "one cluster" [ [ 0; 1; 2 ] ]
+          (clusters_of
+             [
+               sec {|$s/Symbol = "A"|}; sec {|$s/Symbol = "B"|}; sec {|$s/Symbol = "C"|};
+             ]));
+    tc "literals of different kind at one path do not" (fun () ->
+        Alcotest.(check (list (list int))) "two clusters" [ [ 0; 2 ]; [ 1 ] ]
+          (clusters_of [ sec {|$s/Yield = "4"|}; sec "$s/Yield = 4"; sec {|$s/Yield = "5"|} ]));
+    tc "a step's axis is part of the shape" (fun () ->
+        Alcotest.(check (list (list int))) "two clusters" [ [ 0 ]; [ 1 ] ]
+          (clusters_of
+             [
+               sec {|$s/Symbol = "A"|};
+               "for $s in SECURITY('SDOC')//Security where $s/Symbol = \"B\" return $s";
+             ]));
+    tc "swapping the var a where group constrains changes the cluster" (fun () ->
+        let q v =
+          "for $a in SECURITY('SDOC')/Security, $b in SECURITY('SDOC')/Security/SecInfo \
+           where $" ^ v ^ "/Name = \"x\" return $a"
+        in
+        Alcotest.(check (list (list int))) "two clusters" [ [ 0; 2 ]; [ 1 ] ]
+          (clusters_of [ q "a"; q "b"; q "a" ]));
+    tc "updates differing only in the new value share a cluster" (fun () ->
+        let u v sym =
+          Printf.sprintf
+            {|update SECURITY set /Security/Price/LastTrade = "%s" where /Security[Symbol="%s"]|}
+            v sym
+        in
+        Alcotest.(check (list (list int))) "one cluster" [ [ 0; 1 ] ]
+          (clusters_of [ u "1.5" "A"; u "99" "B" ]));
+    tc "inserts of different documents into one table share a cluster" (fun () ->
+        Alcotest.(check (list (list int))) "one per table" [ [ 0; 2 ]; [ 1 ] ]
+          (clusters_of
+             [
+               "insert into XORDER <FIXML><Order ID=\"1\"/></FIXML>";
+               "insert into SECURITY <Security><Symbol>A</Symbol></Security>";
+               "insert into XORDER <Other><x>2</x></Other>";
+             ]));
+  ]
+
 (* ---------- pruning soundness -------------------------------------------- *)
 
 let config_ids (o : S.outcome) =
@@ -305,5 +437,6 @@ let suites =
   [
     ("summary.differential", summary_tests);
     ("summary.pruning", prune_tests);
-    Helpers.qsuite "summary.qcheck" [ qcheck_clustering ];
+    ("summary.memo", memo_cases);
+    Helpers.qsuite "summary.qcheck" [ qcheck_clustering; qcheck_memo_partition ];
   ]
