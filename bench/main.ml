@@ -37,17 +37,21 @@ let line = String.make 86 '-'
 let header title =
   Format.printf "@.%s@.== %s@.%s@." line title line
 
-(* Lazy, not a closure over a memo ref: forced only after the quick flag is
-   parsed, and safe to share once forced. *)
+(* Loaded on first use, after the quick flag is parsed.  An [Atomic] cell,
+   not a lazy one (forcing a lazy from two domains at once raises): racing
+   first callers may each load their own catalog; later callers get the one
+   stored last. *)
 let tpox_catalog =
-  let memo =
-    Lazy.from_fun (fun () ->
+  let memo = Atomic.make None in
+  fun () ->
+    match Atomic.get memo with
+    | Some catalog -> catalog
+    | None ->
         let catalog = Catalog.create () in
         if Atomic.get quick then Tpox.load ~scale:Tpox.tiny_scale catalog
         else Tpox.load catalog;
-        catalog)
-  in
-  fun () -> Lazy.force memo
+        Atomic.set memo (Some catalog);
+        catalog
 
 let paper_mb_of ~all_size bytes =
   paper_all_index_mb *. float_of_int bytes /. float_of_int all_size

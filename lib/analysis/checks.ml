@@ -46,7 +46,7 @@ let allow id attrs = List.mem id (Suppress.allow_ids attrs)
 let d001_message what =
   Printf.sprintf
     "module-toplevel mutable state (%s): racy under multiple domains; wrap in \
-     Atomic/Domain.DLS/Mutex/Lazy or allocate per instance"
+     Atomic/Domain.DLS/Mutex or allocate per instance"
     what
 
 (* Walk only module-toplevel bindings (recursing into nested [module M =
@@ -372,9 +372,9 @@ let catalog =
       detail =
         "A module-toplevel binding that evaluates to raw mutable state (ref, \
          Hashtbl, Buffer, Queue, array, record literal with mutable fields, or \
-         a closure capturing one) is shared by every domain that touches the \
-         module.  Wrap it in Atomic, Domain.DLS, Mutex or Lazy, or allocate it \
-         per instance.";
+         a lazy cell, or a closure capturing one) is shared by every domain \
+         that touches the module.  Wrap it in Atomic, Domain.DLS or Mutex, or \
+         allocate it per instance.";
     };
     {
       id = "D002";

@@ -3,7 +3,7 @@
     Unit-local checks (one compilation unit's parsetree):
 
     - [D001] module-toplevel mutable state not wrapped in
-      Atomic/Domain.DLS/Mutex/Lazy (domain-safety).
+      Atomic/Domain.DLS/Mutex (domain-safety); a toplevel [lazy] counts.
     - [D002] [Sys.time] used for timing (CPU time, not wall-clock).
     - [D004] [Unix.gettimeofday] in [lib/] code outside [lib/obs/]: library
       wall-clock reads must go through [Xia_obs.Obs.now_s].

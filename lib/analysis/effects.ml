@@ -119,6 +119,7 @@ let flagged_allocators =
     ([ "Array"; "create_float" ], "Array.create_float");
     ([ "Array"; "init" ], "Array.init");
     ([ "Array"; "make_matrix" ], "Array.make_matrix");
+    ([ "Lazy"; "from_fun" ], "Lazy.from_fun");
   ]
 
 (* Wrappers that make toplevel state domain-safe (or defer it): their
@@ -131,7 +132,6 @@ let safe_wrappers =
     [ "Condition"; "create" ];
     [ "Semaphore"; "Counting"; "make" ];
     [ "Semaphore"; "Binary"; "make" ];
-    [ "Lazy"; "from_fun" ];
     [ "Lazy"; "from_val" ];
   ]
 
@@ -156,7 +156,10 @@ let rec d001_hits mutable_fields acc (e : expression) =
   else
     match e.pexp_desc with
     (* Deferred allocation: a fresh value per call, not shared state. *)
-    | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ | Pexp_lazy _ -> acc
+    | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> acc
+    (* One shared cell, written when first forced: two domains forcing it at
+       once raise [CamlinternalLazy.Undefined] on OCaml 5. *)
+    | Pexp_lazy _ -> (e.pexp_loc, "lazy") :: acc
     | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
     | Pexp_letmodule (_, _, e) | Pexp_letexception (_, e) ->
         d001_hits mutable_fields acc e

@@ -137,8 +137,8 @@ val mutable_field_names : Parsetree.structure -> (string, unit) Hashtbl.t
 
 (** Classify an expression as raw shared mutable state: every
     [(location, allocator)] pair found descending through wrappers and data
-    constructors.  Empty for deferred allocations (functions, [lazy]) and
-    Atomic/Mutex/DLS-wrapped initializers. *)
+    constructors.  A [lazy] cell counts (forcing it from two domains at once
+    raises); empty for functions and Atomic/Mutex/DLS-wrapped initializers. *)
 val d001_hits :
   (string, unit) Hashtbl.t ->
   (Location.t * string) list ->

@@ -13,8 +13,8 @@
          lock-disciplined binding (a body taking [Mutex.lock], or
          [@lint.allow "R001"]), and this check emits the unsuppressed
          witnesses of every task that escapes to another domain.  Wrapped
-         state (Atomic, Mutex, Domain.DLS, Lazy, Interner.Cache) never
-         classifies as raw.
+         state (Atomic, Mutex, Domain.DLS, Interner.Cache) never classifies
+         as raw; a [lazy] cell does, as concurrent forcing raises.
    R002  inconsistent mutex acquisition order: [Mutex.lock b] while [a] is
          statically held, when somewhere else [a] is locked while [b] is
          held (deadlock by lock-order inversion), including locks taken by

@@ -48,57 +48,84 @@ let key_of_value dtype value =
       | Some v -> Some (Kdouble v)
       | None -> None)
 
-(* Memoize pattern acceptance per distinct label path: documents of a table
-   share a small dataguide, so this avoids re-running the NFA per node. *)
-let acceptor (def : Index_def.t) =
-  let accepts_memo : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-  fun path ->
-    let k = String.concat "/" path in
-    match Hashtbl.find_opt accepts_memo k with
-    | Some b -> b
-    | None ->
-        let b = Xia_xpath.Pattern.accepts def.pattern path in
-        Hashtbl.add accepts_memo k b;
-        b
-
 let key_size = function Kstring s -> String.length s | Kdouble _ -> 8
-
-let entries_of_doc (def : Index_def.t) accepts doc_id doc =
-  let acc = ref [] in
-  Xia_xml.Types.iter_nodes
-    (fun node path value ->
-      if accepts path then
-        match key_of_value def.dtype value with
-        | None -> ()
-        | Some key -> acc := { key; doc = doc_id; node } :: !acc)
-    doc;
-  !acc
 
 let compare_entry a b =
   match compare_key a.key b.key with
   | 0 -> (
-      match compare a.doc b.doc with
+      match Int.compare a.doc b.doc with
       | 0 -> Xia_xml.Types.compare_node_id a.node b.node
       | c -> c)
   | c -> c
 
-let of_entry_list def ~generation acc =
-  let entries = Array.of_list acc in
-  Array.sort compare_entry entries;
+(* [entries] must already be sorted by [compare_entry]. *)
+let of_sorted def ~generation entries =
   let key_bytes = Array.fold_left (fun n e -> n + key_size e.key) 0 entries in
   { def; entries; built_generation = generation; key_bytes }
 
-let build store (def : Index_def.t) =
-  let accepts = acceptor def in
-  let acc = ref [] in
-  Doc_store.iter
-    (fun doc_id doc -> acc := List.rev_append (entries_of_doc def accepts doc_id doc) !acc)
-    store;
-  of_entry_list def ~generation:(Doc_store.generation store) !acc
+(* [collect def iter] walks every document [iter] visits and returns their
+   entries sorted.  Each walk is one preorder pass carrying the pattern's NFA
+   state set: no label path is built, text is read only where the set
+   accepts, and a subtree whose set is empty is skipped (its elements still
+   advance [pre]).  Match masks are memoized per label, attribute names
+   ("@name") in their own table.  [iter] may visit in hash order: the sort is
+   under [compare_entry], a total order on distinct entries. *)
+let collect (def : Index_def.t) iter =
+  let module Nfa = Xia_xpath.Nfa in
+  let module X = Xia_xml.Types in
+  let nfa = Xia_xpath.Pattern.nfa_of def.pattern in
+  let desc = Nfa.desc_mask nfa in
+  let elem_masks = Hashtbl.create 64 and attr_masks = Hashtbl.create 16 in
+  let mask tbl symbol name =
+    match Hashtbl.find_opt tbl name with
+    | Some m -> m
+    | None ->
+        let m = Nfa.match_mask nfa (symbol name) in
+        Hashtbl.add tbl name m;
+        m
+  in
+  let acc = ref [] and doc = ref 0 and pre = ref 0 in
+  let emit node value =
+    match key_of_value def.dtype value with
+    | Some key -> acc := { key; doc = !doc; node } :: !acc
+    | None -> ()
+  in
+  let rec walk set = function
+    | X.Text _ -> ()
+    | X.Element e as node ->
+        let set = Nfa.advance_masks ~desc ~matches:(mask elem_masks Fun.id e.tag) set in
+        if set = 0 then pre := !pre + X.count_elements node
+        else begin
+          let here = !pre in
+          incr pre;
+          if Nfa.accepting nfa set then emit { X.pre = here; attr = None } (X.direct_text e);
+          List.iteri
+            (fun i (k, v) ->
+              let matches = mask attr_masks (fun k -> "@" ^ k) k in
+              if Nfa.accepting nfa (Nfa.advance_masks ~desc ~matches set) then
+                emit { X.pre = here; attr = Some i } v)
+            e.attrs;
+          walk_children set e.children
+        end
+  and walk_children set = function
+    | [] -> ()
+    | c :: rest -> walk set c; walk_children set rest
+  in
+  iter (fun doc_id tree ->
+      doc := doc_id;
+      pre := 0;
+      walk Nfa.initial tree);
+  let entries = Array.of_list !acc in
+  Array.stable_sort compare_entry entries;
+  entries
 
-(* Incremental maintenance: fold a change list into the index without
-   rescanning the whole table.  Every touched document's old entries are
-   dropped; documents whose final state is present contribute fresh ones. *)
+let build store (def : Index_def.t) =
+  let entries = collect def (fun visit -> Doc_store.iter visit store) in
+  of_sorted def ~generation:(Doc_store.generation store) entries
+
+(* Incremental maintenance without rescanning the table: touched documents'
+   old entries are filtered out of the sorted array, their final versions are
+   walked again, and the sorted additions are merged in, in O(n + k). *)
 let apply_changes pi ~generation (changes : Doc_store.change list) =
   let net : (Doc_store.doc_id, Xia_xml.Types.t option) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -107,22 +134,24 @@ let apply_changes pi ~generation (changes : Doc_store.change list) =
       | `Insert -> Hashtbl.replace net c.doc_id (Some c.doc)
       | `Delete -> Hashtbl.replace net c.doc_id None)
     changes;
-  let kept =
-    Array.to_list pi.entries
-    |> List.filter (fun e -> not (Hashtbl.mem net e.doc))
-  in
-  let accepts = acceptor pi.def in
   let added =
-    (* Hash iteration order is fine here: [of_entry_list] sorts the combined
-       entry list under a total order before anything reads it. *)
-    (Hashtbl.fold
-       (fun doc_id doc acc ->
-         match doc with
-         | None -> acc
-         | Some doc -> List.rev_append (entries_of_doc pi.def accepts doc_id doc) acc)
-       net [] [@lint.allow "N001"])
+    collect pi.def (fun visit ->
+        Hashtbl.iter (fun doc_id doc -> Option.iter (visit doc_id) doc) net)
   in
-  of_entry_list pi.def ~generation (List.rev_append added kept)
+  let old = pi.entries and keep e = not (Hashtbl.mem net e.doc) in
+  let n = Array.length old and k = Array.length added in
+  let i = ref 0 and j = ref 0 in
+  let merged =
+    Array.init
+      (k + Array.fold_left (fun c e -> if keep e then c + 1 else c) 0 old)
+      (fun _ ->
+        while !i < n && not (keep old.(!i)) do incr i done;
+        let from_added = !j < k && (!i = n || compare_entry added.(!j) old.(!i) < 0) in
+        let e = if from_added then added.(!j) else old.(!i) in
+        if from_added then incr j else incr i;
+        e)
+  in
+  of_sorted pi.def ~generation merged
 
 (* First position with key >= k (lower bound). *)
 let lower_bound t k =

@@ -55,11 +55,14 @@ let record t kind doc_id doc =
   t.log_size <- t.log_size + 1
 
 (* Changes with generation > [gen], oldest first; [None] when the log no
-   longer reaches back that far. *)
+   longer reaches back that far.  The log is newest first with non-increasing
+   [gen], so the wanted changes are a prefix of it. *)
 let changes_since t gen =
-  if gen < t.log_floor then None
-  else
-    Some (List.rev (List.filter (fun c -> c.gen > gen) t.log))
+  let rec take acc = function
+    | c :: rest when c.gen > gen -> take (c :: acc) rest
+    | _ -> acc
+  in
+  if gen < t.log_floor then None else Some (take [] t.log)
 
 let name t = t.name
 let generation t = t.generation

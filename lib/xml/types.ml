@@ -22,8 +22,8 @@ type node_id = {
 }
 
 let compare_node_id a b =
-  match compare a.pre b.pre with
-  | 0 -> compare a.attr b.attr
+  match Int.compare a.pre b.pre with
+  | 0 -> Option.compare Int.compare a.attr b.attr
   | c -> c
 
 let equal_node_id a b = compare_node_id a b = 0

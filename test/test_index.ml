@@ -148,11 +148,144 @@ let physical_tests =
         Alcotest.(check bool) "reject" true (PI.key_of_value D.Ddouble "abc" = None));
   ]
 
+(* Test-only reference oracle: the path-materializing build that the
+   NFA-state walk replaced.  Every element and attribute gets its rooted label
+   path, [Pattern.accepts] decides coverage on the path, and the entries are
+   sorted with polymorphic [compare] on (doc, pre, attr) after the key. *)
+let oracle_entries store (d : D.t) =
+  let acc = ref [] in
+  DS.iter
+    (fun doc_id doc ->
+      Xia_xml.Types.iter_nodes
+        (fun node path value ->
+          if Xia_xpath.Pattern.accepts d.D.pattern path then
+            match PI.key_of_value d.D.dtype value with
+            | Some key -> acc := { PI.key; doc = doc_id; node } :: !acc
+            | None -> ())
+        doc)
+    store;
+  let rank (e : PI.entry) = (e.PI.doc, e.PI.node.Xia_xml.Types.pre, e.PI.node.Xia_xml.Types.attr) in
+  List.sort
+    (fun (a : PI.entry) b ->
+      match PI.compare_key a.PI.key b.PI.key with 0 -> compare (rank a) (rank b) | c -> c)
+    !acc
+
+let oracle_size entries =
+  match entries with
+  | [] -> Xia_storage.Cost_params.page_size
+  | _ ->
+      let n = List.length entries in
+      let key_bytes =
+        List.fold_left
+          (fun b (e : PI.entry) ->
+            b + match e.PI.key with PI.Kstring s -> String.length s | PI.Kdouble _ -> 8)
+          0 entries
+      in
+      let size, _, _ =
+        IS.btree_shape ~entries:n ~avg_key_bytes:(float_of_int key_bytes /. float_of_int n)
+      in
+      size
+
+(* Entries and size agree with the oracle.  Polymorphic [compare] rather than
+   [=], so that a "nan" key equals itself. *)
+let matches_oracle store d pi =
+  let expected = oracle_entries store d in
+  compare (PI.all pi) expected = 0 && PI.size_bytes pi = oracle_size expected
+
+(* Random documents for the differential properties: nesting, repeated tags,
+   attributes (repeated names too), text mixed with elements, and values that
+   parse as numbers and values that do not. *)
+let value_gen =
+  QCheck.Gen.oneofl [ "1"; "2.5"; " 7 "; "-0"; "1e3"; "nan"; "x"; "abc def"; ""; "12abc" ]
+
+let tree_gen =
+  QCheck.Gen.(
+    let attr = pair (oneofl [ "x"; "y" ]) value_gen in
+    fix
+      (fun self depth ->
+        let text = map Xia_xml.Types.text value_gen in
+        let child = if depth = 0 then text else frequency [ (1, text); (2, self (depth - 1)) ] in
+        map3
+          (fun tag attrs children -> Xia_xml.Types.element ~attrs tag children)
+          (oneofl [ "a"; "b"; "c" ])
+          (list_size (int_range 0 2) attr)
+          (list_size (int_range 0 3) child))
+      3)
+
+(* Random linear patterns: element steps mixing child and descendant axes,
+   name and wildcard tests, and sometimes an attribute last step. *)
+let linear_pattern_gen =
+  QCheck.Gen.(
+    let axis = oneofl [ Xia_xpath.Ast.Child; Xia_xpath.Ast.Descendant ] in
+    let step test = map (fun axis -> { Xia_xpath.Pattern.axis; test }) axis in
+    let name = oneofl [ Xia_xpath.Ast.Name "a"; Name "b"; Name "c"; Wildcard ] in
+    let elem = name >>= fun n -> step (Xia_xpath.Ast.Elem n) in
+    let attr =
+      oneofl [ Xia_xpath.Ast.Name "x"; Name "y"; Wildcard ] >>= fun n -> step (Xia_xpath.Ast.Attr n)
+    in
+    map2 ( @ ) (list_size (int_range 1 4) elem)
+      (frequency [ (2, return []); (1, map (fun s -> [ s ]) attr) ]))
+
+let index_case_gen =
+  QCheck.Gen.(triple linear_pattern_gen (oneofl [ D.Dstring; D.Ddouble ])
+    (list_size (int_range 1 6) tree_gen))
+
+let print_index_case (p, dtype, docs) =
+  Printf.sprintf "%s AS %s over [%s]" (Xia_xpath.Pattern.to_string p)
+    (D.data_type_to_string dtype)
+    (String.concat "; " (List.map Xia_xml.Printer.to_string docs))
+
+let differential_properties =
+  [
+    QCheck.Test.make ~count:300 ~name:"build equals the path-materializing oracle"
+      (QCheck.make ~print:print_index_case index_case_gen)
+      (fun (p, dtype, docs) ->
+        let s = DS.create "T" in
+        List.iter (fun doc -> ignore (DS.insert s doc)) docs;
+        let d = D.make ~table:"T" ~pattern:p ~dtype () in
+        matches_oracle s d (PI.build s d));
+  ]
+
+(* Allocation guard.  A pattern that accepts nothing below the root must cost
+   next to nothing per element, since the walk skips every rejected subtree
+   without building a label path or reading its text.  A pattern that accepts
+   one attribute per document pays for its entries, and for no label path or
+   string key on the nodes it walks through. *)
+let minor_words_per_element s d =
+  ignore (PI.build s d);
+  let before = Gc.minor_words () in
+  let pi = PI.build s d in
+  let words = Gc.minor_words () -. before in
+  (PI.entry_count pi, words /. float_of_int (DS.total_elements s))
+
+let allocation_tests =
+  [
+    tc "build allocates a bounded number of words per element" (fun () ->
+        let s = DS.create "T" in
+        for i = 0 to 999 do
+          ignore
+            (DS.insert s
+               (Helpers.xml
+                  (Printf.sprintf
+                     {|<a><b>%d</b><c x="%d"><d>v</d><d>w</d><e><f>%d</f></e></c><b>y</b></a>|}
+                     i i i)))
+        done;
+        let check pattern ~entries ~bound =
+          let n, per_element = minor_words_per_element s (def pattern) in
+          Alcotest.(check int) (pattern ^ " entries") entries n;
+          if per_element >= bound then
+            Alcotest.failf "%s: %.2f minor words per element, bound %.1f" pattern per_element bound
+        in
+        check "/a/zzz" ~entries:0 ~bound:8.0;
+        check "/a/c/@x" ~entries:1000 ~bound:10.0);
+  ]
+
 (* Incremental maintenance: folding the change log into an index must be
-   indistinguishable from rebuilding it. *)
+   indistinguishable from rebuilding it.  Compared with polymorphic [compare]
+   so that a "nan" key equals itself. *)
 let same_entries a b =
   let l pi = List.map (fun (e : PI.entry) -> (e.PI.key, e.PI.doc, e.PI.node)) (PI.all pi) in
-  l a = l b
+  compare (l a) (l b) = 0
 
 let incremental_tests =
   [
@@ -206,39 +339,34 @@ let incremental_tests =
 let incremental_properties =
   [
     QCheck.Test.make ~count:60 ~name:"random DML: incremental equals rebuild"
-      QCheck.(pair (int_range 0 100_000) (int_range 1 25))
-      (fun (seed, ops) ->
+      (QCheck.make
+         ~print:(fun (case, seed, ops) ->
+           Printf.sprintf "%s, seed %d, %d ops" (print_index_case case) seed ops)
+         QCheck.Gen.(triple index_case_gen (int_range 0 100_000) (int_range 1 25)))
+      (fun ((p, dtype, docs), seed, ops) ->
         let rng = Random.State.make [| seed |] in
-        let s = store_with [ "<a><b>x</b></a>"; "<a><b>y</b><c>z</c></a>" ] in
-        let d = def "/a/*" in
+        let s = DS.create "T" in
+        List.iter (fun doc -> ignore (DS.insert s doc)) docs;
+        let d = D.make ~table:"T" ~pattern:p ~dtype () in
+        let random_doc () = QCheck.Gen.generate1 ~rand:rng tree_gen in
+        let random_id () =
+          match DS.doc_ids s with
+          | [] -> None
+          | ids -> Some (List.nth ids (Random.State.int rng (List.length ids)))
+        in
         let pi = ref (PI.build s d) in
         let ok = ref true in
         for _ = 1 to ops do
           let gen0 = PI.built_generation !pi in
           (match Random.State.int rng 3 with
-          | 0 ->
-              ignore
-                (DS.insert s
-                   (Helpers.xml
-                      (Printf.sprintf "<a><b>v%d</b></a>" (Random.State.int rng 50))))
-          | 1 -> (
-              match DS.doc_ids s with
-              | [] -> ()
-              | ids -> ignore (DS.delete s (List.nth ids (Random.State.int rng (List.length ids)))))
-          | _ -> (
-              match DS.doc_ids s with
-              | [] -> ()
-              | ids ->
-                  ignore
-                    (DS.replace s
-                       (List.nth ids (Random.State.int rng (List.length ids)))
-                       (Helpers.xml
-                          (Printf.sprintf "<a><c>r%d</c></a>" (Random.State.int rng 50))))));
+          | 0 -> ignore (DS.insert s (random_doc ()))
+          | 1 -> Option.iter (fun id -> ignore (DS.delete s id)) (random_id ())
+          | _ -> Option.iter (fun id -> ignore (DS.replace s id (random_doc ()))) (random_id ()));
           match DS.changes_since s gen0 with
           | None -> ()
           | Some changes ->
               pi := PI.apply_changes !pi ~generation:(DS.generation s) changes;
-              if not (same_entries !pi (PI.build s d)) then ok := false
+              if not (matches_oracle s d !pi && same_entries !pi (PI.build s d)) then ok := false
         done;
         !ok);
   ]
@@ -341,6 +469,8 @@ let suites =
     ("index.stats", stats_tests);
     ("index.physical", physical_tests);
     ("index.incremental", incremental_tests);
+    Helpers.qsuite "index.differential" differential_properties;
+    ("index.alloc", allocation_tests);
     Helpers.qsuite "index.incremental_properties" incremental_properties;
     ("index.catalog", catalog_tests);
     ("index.maintenance", maintenance_tests);

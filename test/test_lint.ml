@@ -97,15 +97,31 @@ let d001_tests =
     tc "safe wrapper inside a closure-returning let-in not hit" (fun () ->
         check_ids "clean" []
           "let cached =\n\
-          \  let memo = Lazy.from_fun (fun () -> Hashtbl.create 8) in\n\
-          \  fun () -> Lazy.force memo\n");
+          \  let memo = Atomic.make None in\n\
+          \  fun () -> Atomic.get memo\n");
     tc "Atomic/DLS/Mutex/Lazy wrappers not hit" (fun () ->
+        (* [Lazy.from_val] is already forced; [lazy] and [Lazy.from_fun]
+           cells are hit (see the lazy tests below). *)
         check_ids "clean" []
           "let a = Atomic.make 0\n\
            let b = Domain.DLS.new_key (fun () -> Hashtbl.create 64)\n\
            let c = Mutex.create ()\n\
-           let d = lazy (Hashtbl.create 8)\n\
-           let e = Lazy.from_fun (fun () -> Buffer.create 8)\n");
+           let d = Lazy.from_val 8\n");
+    tc "toplevel lazy cells hit" (fun () ->
+        check_ids "lazy, Lazy.from_fun and a memoizing closure over a lazy"
+          [ (1, "D001"); (2, "D001"); (3, "D001") ]
+          "let a = lazy (Hashtbl.create 8)\n\
+           let b = Lazy.from_fun (fun () -> 1)\n\
+           let c = let memo = lazy 0 in fun () -> Lazy.force memo\n");
+    tc "function-local lazy not hit" (fun () ->
+        check_ids "clean" []
+          "let f () =\n\
+          \  let l = lazy (ref 0) in\n\
+          \  !(Lazy.force l)\n");
+    tc "toplevel lazy suppressed by attribute" (fun () ->
+        check_ids "suppressed" []
+          "let a = lazy 0 [@@lint.allow \"D001\"]\n\
+           let b = (lazy 1 [@lint.allow \"D001\"])\n");
     tc "nested module toplevel is still toplevel" (fun () ->
         check_ids "flagged inside module"
           [ (2, "D001") ]
@@ -447,6 +463,28 @@ let callgraph_tests =
               "names the global and the call path" true
               (contains f.Finding.message "counter"
               && contains f.Finding.message "via tick")));
+    tc "cross-unit R001: Par.map task forcing another unit's toplevel lazy"
+      (fun () ->
+        with_temp_project
+          [
+            ("state.ml", "let table = lazy (Hashtbl.create 8)\n");
+            ( "worker.ml",
+              "let size _x = Hashtbl.length (Lazy.force State.table)\n\
+               let run items = Par.map size items\n" );
+          ]
+          (fun dir ->
+            let report = Lint.lint_paths [ dir ] in
+            let r001 =
+              List.filter (fun (f : Finding.t) -> f.id = "R001") report.findings
+            in
+            Alcotest.(check int) "one R001" 1 (List.length r001);
+            let f = List.hd r001 in
+            Alcotest.(check string)
+              "anchored at the racy force" "worker.ml"
+              (Filename.basename f.Finding.file);
+            Alcotest.(check bool)
+              "names the cell and the call path" true
+              (contains f.Finding.message "table" && contains f.Finding.message "via size")));
     tc "callgraph DOT is deterministic and shows the cross-unit edge" (fun () ->
         with_temp_project
           [
@@ -502,6 +540,21 @@ let r001_tests =
            let m = Mutex.create ()\n\
            let record x = Mutex.lock m; Hashtbl.replace table x (); Mutex.unlock m\n\
            let run items = Par.iter record items\n");
+    tc "Par.map task forcing a toplevel lazy" (fun () ->
+        check_ids "D001 for the cell, R001 at the force"
+          [ (1, "D001"); (2, "R001") ]
+          "let cell = lazy (Hashtbl.create 8)\n\
+           let run items = Par.map (fun x -> x + Hashtbl.length (Lazy.force cell)) items\n");
+    tc "lazy forced outside any parallel task is D001 only" (fun () ->
+        check_ids "no R001"
+          [ (1, "D001") ]
+          "let cell = lazy (Hashtbl.create 8)\n\
+           let size () = Hashtbl.length (Lazy.force cell)\n");
+    tc "attribute suppression of a lazy force at the fan-out site" (fun () ->
+        check_ids "D001 only"
+          [ (1, "D001") ]
+          "let cell = lazy 1\n\
+           let run items = (Par.map (fun x -> x + Lazy.force cell) items [@lint.allow \"R001\"])\n");
     tc "mutable-field write on a captured record" (fun () ->
         check_ids "flagged"
           [ (2, "R001") ]

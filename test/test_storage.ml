@@ -121,8 +121,85 @@ let path_stats_tests =
         Alcotest.(check (list string)) "sorted" [ "a"; "a/b"; "a/m"; "a/z" ] keys);
   ]
 
+(* Reference for [Doc_store.changes_since]: the filter-based definition over a
+   model of the change log kept beside the store (newest first; a replace is a
+   delete and an insert at one generation; truncated, like the store's, when
+   a record finds 20,000 entries retained). *)
+module Log_model = struct
+  type t = {
+    store : DS.t;
+    mutable log : (int * [ `Insert | `Delete ] * int) list;
+    mutable size : int;
+    mutable floor : int;
+  }
+
+  let create () = { store = DS.create "T"; log = []; size = 0; floor = 0 }
+
+  let record m kind id =
+    if m.size >= 20_000 then begin
+      m.log <- [];
+      m.size <- 0;
+      m.floor <- DS.generation m.store
+    end;
+    m.log <- (DS.generation m.store, kind, id) :: m.log;
+    m.size <- m.size + 1
+
+  let insert m = record m `Insert (DS.insert m.store (Helpers.xml "<a/>"))
+
+  let delete m id = if DS.delete m.store id then record m `Delete id
+
+  let replace m id =
+    if DS.replace m.store id (Helpers.xml "<b/>") then begin
+      record m `Delete id;
+      record m `Insert id
+    end
+
+  let expected m gen =
+    if gen < m.floor then None
+    else Some (List.rev (List.filter (fun (g, _, _) -> g > gen) m.log))
+
+  let actual m gen =
+    Option.map
+      (List.map (fun (c : DS.change) -> (c.DS.gen, c.DS.kind, c.DS.doc_id)))
+      (DS.changes_since m.store gen)
+
+  let agrees m gen = actual m gen = expected m gen
+end
+
+let change_log_tests =
+  [
+    tc "changes_since across truncation equals the filter definition" (fun () ->
+        let m = Log_model.create () in
+        for _ = 1 to 19_999 do Log_model.insert m done;
+        (* The replace's delete fills the log; its insert truncates it. *)
+        Log_model.replace m 5;
+        let g = DS.generation m.store in
+        Alcotest.(check bool) "truncated at the replace" true (m.floor = g);
+        Alcotest.(check bool) "None before the floor" true (DS.changes_since m.store (g - 1) = None);
+        Log_model.insert m;
+        Log_model.delete m 7;
+        Log_model.replace m 9;
+        List.iter
+          (fun gen ->
+            if not (Log_model.agrees m gen) then Alcotest.failf "differs at gen %d" gen)
+          [ 0; 1; g - 2; g - 1; g; g + 1; g + 2; g + 3; g + 4; DS.generation m.store ]);
+  ]
+
 let properties =
   [
+    QCheck.Test.make ~count:100 ~name:"changes_since equals the filter definition"
+      QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_range 0 2) (int_range 0 10)))
+      (fun ops ->
+        let m = Log_model.create () in
+        List.iter
+          (fun (op, id) ->
+            match op with
+            | 0 -> Log_model.insert m
+            | 1 -> Log_model.delete m id
+            | _ -> Log_model.replace m id)
+          ops;
+        List.for_all (Log_model.agrees m) (List.init (DS.generation m.store + 2) Fun.id));
+
     QCheck.Test.make ~count:100 ~name:"stats node totals match document walk"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 5) Helpers.doc_arbitrary)
       (fun docs ->
@@ -146,5 +223,6 @@ let suites =
   [
     ("storage.doc_store", doc_store_tests);
     ("storage.path_stats", path_stats_tests);
+    ("storage.change_log", change_log_tests);
     Helpers.qsuite "storage.properties" properties;
   ]
